@@ -43,14 +43,14 @@ type Structures struct {
 	WalkRefPJ float64
 }
 
-// energyEvent is one observed charge-worthy event of an access: a probe
+// Charge is one observed charge-worthy event of an access: a probe
 // or fill of a named structure, or a batch of walk memory references.
-type energyEvent struct {
-	acc   energy.Account
-	name  string // structure name (energy-database key); "" for walk refs
-	ways  int    // active ways at event time (0 for fixed structures)
-	write bool
-	refs  int // >0: walk references, charged at WalkRefPJ each
+type Charge struct {
+	Acc   energy.Account
+	Name  string // structure name (energy-database key); "" for walk refs
+	Ways  int    // active ways at event time (0 for fixed structures)
+	Write bool   // a fill rather than a probe
+	Refs  int    // >0: walk references, charged at WalkRefPJ each
 }
 
 // pageHit is one observed L1/L2 page-TLB hit.
@@ -84,7 +84,7 @@ type Auditor struct {
 	sampling  bool
 	va        addr.VA
 	before    energy.Breakdown
-	events    []energyEvent
+	events    []Charge
 	pageHits  []pageHit
 	rangeHits []rmm.Range
 	walked    bool
@@ -102,7 +102,7 @@ func New(cfg Config, st Structures) *Auditor {
 	return &Auditor{
 		cfg:       cfg.WithDefaults(),
 		st:        st,
-		events:    make([]energyEvent, 0, 32),
+		events:    make([]Charge, 0, 32),
 		pageHits:  make([]pageHit, 0, 4),
 		rangeHits: make([]rmm.Range, 0, 4),
 	}
@@ -150,30 +150,13 @@ func (a *Auditor) BeginAccess(va addr.VA, b *energy.Breakdown) {
 	a.walked = false
 }
 
-// RecordRead notes a probe of a named structure at the given active-way
-// count.
-func (a *Auditor) RecordRead(acc energy.Account, name string, ways int) {
+// RecordCharge notes one charge-worthy event, as the simulator's
+// charging primitive that booked it describes it.
+func (a *Auditor) RecordCharge(c Charge) {
 	if !a.sampling {
 		return
 	}
-	a.events = append(a.events, energyEvent{acc: acc, name: name, ways: ways}) //eeatlint:allow hotpath recycled scratch; the backing array is reused across the [:0] reset in BeginAccess
-}
-
-// RecordWrite notes a fill of a named structure at the given active-way
-// count.
-func (a *Auditor) RecordWrite(acc energy.Account, name string, ways int) {
-	if !a.sampling {
-		return
-	}
-	a.events = append(a.events, energyEvent{acc: acc, name: name, ways: ways, write: true}) //eeatlint:allow hotpath recycled scratch; the backing array is reused across the [:0] reset in BeginAccess
-}
-
-// RecordWalkRefs notes refs page-walk (or range-walk) memory references.
-func (a *Auditor) RecordWalkRefs(acc energy.Account, refs int) {
-	if !a.sampling {
-		return
-	}
-	a.events = append(a.events, energyEvent{acc: acc, refs: refs}) //eeatlint:allow hotpath recycled scratch; the backing array is reused across the [:0] reset in BeginAccess
+	a.events = append(a.events, c) //eeatlint:allow hotpath recycled scratch; the backing array is reused across the [:0] reset in BeginAccess
 }
 
 // RecordPageHit notes a page-TLB hit: the entry served and the page
@@ -284,22 +267,22 @@ func (a *Auditor) checkEnergy(after *energy.Breakdown) {
 	var expect energy.Breakdown
 	for _, ev := range a.events {
 		var pj float64
-		if ev.refs > 0 {
-			pj = float64(ev.refs) * a.st.WalkRefPJ
+		if ev.Refs > 0 {
+			pj = float64(ev.Refs) * a.st.WalkRefPJ
 		} else {
-			c, ok := a.st.DB.Lookup(ev.name, ev.ways)
+			c, ok := a.st.DB.Lookup(ev.Name, ev.Ways)
 			if !ok {
-				a.violate(CheckEnergy, ev.name, a.va,
-					"no cost registered at %d ways", ev.ways)
+				a.violate(CheckEnergy, ev.Name, a.va,
+					"no cost registered at %d ways", ev.Ways)
 				return
 			}
-			if ev.write {
+			if ev.Write {
 				pj = c.WritePJ
 			} else {
 				pj = c.ReadPJ
 			}
 		}
-		expect.Add(ev.acc, pj)
+		expect.Add(ev.Acc, pj)
 	}
 	for acc := energy.Account(0); acc < energy.NumAccounts; acc++ {
 		delta := after.Get(acc) - a.before.Get(acc)

@@ -146,25 +146,10 @@ func (s *Simulator) attachTelemetry(m *Metrics, tr *telemetry.Tracer) {
 		tr.Emit(t.track, 0, "sim", "configured", telemetry.KV{K: "config", V: s.p.Kind.String()})
 	}
 	if m != nil {
-		bind := func(name string, stats func() tlb.Stats) {
-			t.structs = append(t.structs, structFlush{stats: stats, dst: m.structCounters(name)})
-		}
-		bind(energy.L14KB, s.l14k.Stats)
-		if s.l12m != nil {
-			bind(energy.L12MB, s.l12m.Stats)
-		}
-		if s.l11g != nil {
-			bind(energy.L11GB, s.l11g.Stats)
-		}
-		bind(energy.L2Page, s.l2.Stats)
-		if s.l1rng != nil {
-			bind(energy.L1Range, s.l1rng.Stats)
-		}
-		if s.l2rng != nil {
-			bind(energy.L2Range, s.l2rng.Stats)
-		}
-		for _, st := range s.mmu.Structures() {
-			bind(st.Name(), st.Stats)
+		for id, st := range s.structures() {
+			if st != nil {
+				t.structs = append(t.structs, structFlush{stats: st.Stats, dst: m.structCounters(structs[id].name)})
+			}
 		}
 	}
 	if s.ctl != nil && tr != nil {

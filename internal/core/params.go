@@ -309,5 +309,6 @@ func (p Params) Validate() error {
 	if err := p.Fault.Validate(); err != nil {
 		return fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 	}
-	return nil
+	_, err := p.resolveCosts()
+	return err
 }

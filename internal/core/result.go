@@ -162,24 +162,35 @@ func (s *Simulator) Result() Result {
 // the hierarchy, keyed by structure name. Intended for tests and
 // debugging output.
 func (s *Simulator) StructureStats() map[string]tlb.Stats {
-	out := map[string]tlb.Stats{
-		energy.L14KB:  s.l14k.Stats(),
-		energy.L2Page: s.l2.Stats(),
+	out := make(map[string]tlb.Stats)
+	for id, st := range s.structures() {
+		if st != nil {
+			out[structs[id].name] = st.Stats()
+		}
 	}
+	return out
+}
+
+// structures returns the hierarchy's structures indexed by structID,
+// nil where the configuration lacks one.
+func (s *Simulator) structures() [numStructs]interface{ Stats() tlb.Stats } {
+	mmu := s.mmu.Structures()
+	out := [numStructs]interface{ Stats() tlb.Stats }{
+		sL1Page: s.l14k, sL2Page: s.l2, sPDE: mmu[0], sPDPTE: mmu[1], sPML4: mmu[2],
+	}
+	// Assigned only when present: a nil pointer would make a non-nil
+	// interface.
 	if s.l12m != nil {
-		out[energy.L12MB] = s.l12m.Stats()
+		out[sL12M] = s.l12m
 	}
 	if s.l11g != nil {
-		out[energy.L11GB] = s.l11g.Stats()
+		out[sL11G] = s.l11g
 	}
 	if s.l1rng != nil {
-		out[energy.L1Range] = s.l1rng.Stats()
+		out[sL1Range] = s.l1rng
 	}
 	if s.l2rng != nil {
-		out[energy.L2Range] = s.l2rng.Stats()
-	}
-	for _, st := range s.mmu.Structures() {
-		out[st.Name()] = st.Stats()
+		out[sL2Range] = s.l2rng
 	}
 	return out
 }

@@ -47,7 +47,8 @@ type Simulator struct {
 	// page TLBs in the Lite controller (-1 when not monitored).
 	lite2mIdx, lite1gIdx int
 
-	walkRefPJ float64 // energy of one page-walk memory reference
+	costs     costTable // every price this run can charge, resolved once
+	walkRefPJ float64   // energy of one page-walk memory reference
 
 	// aud is the runtime integrity layer (nil unless Params.Audit is
 	// enabled). It observes probes, fills, hits and charges, and never
@@ -56,11 +57,10 @@ type Simulator struct {
 	aud *audit.Auditor
 
 	// Fault-injection state (inject package; zero unless Params.Fault is
-	// set). chargeSkew multiplies every energy charge (1 = faithful);
-	// dropInval names a structure the next InvalidateRegion must skip.
+	// set). dropInval names a structure the next InvalidateRegion must
+	// skip.
 	fault      inject.Fault
 	faultArmed bool
-	chargeSkew float64
 	dropInval  string
 
 	// tele is the telemetry attachment (nil unless Params.Metrics or
@@ -110,13 +110,18 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	costs, err := p.resolveCosts()
+	if err != nil {
+		return nil, err
+	}
 	s := &Simulator{
-		p:    p,
-		as:   as,
-		l14k: tlb.NewSetAssoc(energy.L14KB, p.L14KEntries, p.L14KWays),
-		l2:   tlb.NewSetAssoc(energy.L2Page, p.L2Entries, p.L2Ways),
-		mmu:  mmucache.New(p.MMU),
-		walk: pagetable.NewWalker(as.PageTable()),
+		costs: costs,
+		p:     p,
+		as:    as,
+		l14k:  tlb.NewSetAssoc(energy.L14KB, p.L14KEntries, p.L14KWays),
+		l2:    tlb.NewSetAssoc(energy.L2Page, p.L2Entries, p.L2Ways),
+		mmu:   mmucache.New(p.MMU),
+		walk:  pagetable.NewWalker(as.PageTable()),
 	}
 	if p.hasL12M() {
 		s.l12m = tlb.NewSetAssoc(energy.L12MB, p.L12MEntries, p.L12MWays)
@@ -125,7 +130,7 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 		// Figure 1's hierarchy always includes the small fully
 		// associative L1-1GB TLB; the §3.1 mask keeps it disabled (and
 		// free) until a 1 GB mapping is actually walked.
-		s.l11g = tlb.NewFullyAssoc(energy.L11GB, 4)
+		s.l11g = tlb.NewFullyAssoc(energy.L11GB, l11gEntries)
 	}
 	if p.hasL2Range() {
 		s.l2rng = tlb.NewRangeTLB(energy.L2Range, p.L2RangeEntries)
@@ -151,7 +156,6 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 		s.pred = newSizePredictor(p.PredictorEntries)
 	}
 	s.walkRefPJ = p.EnergyDB.WalkRefCost(p.WalkL1HitRatio)
-	s.chargeSkew = 1
 	if p.Fault.Kind != inject.None {
 		s.fault = p.Fault
 		s.faultArmed = true
@@ -208,44 +212,63 @@ func leafLevelOf(sz addr.PageSize) addr.Level {
 	panic("core: invalid page size")
 }
 
-// charge books pj picojoules against acc, both in the per-account
-// breakdown and the shadow total the conservation audit compares
-// against. It is the simulator's single energy charging primitive;
-// the chargesite analyzer rejects Breakdown writes anywhere else.
+// read charges one probe of structure id, priced at its active ways
+// from the resolved cost table, to the breakdown and the shadow total
+// the conservation audit compares against, and forwards the event to
+// the integrity layer. With fill and walkRefs it is the simulator's
+// only charging primitive (the chargesite analyzer rejects Breakdown
+// writes anywhere else): one call per event keeps charge and evidence
+// in step.
 //
 //eeat:chargesite
-func (s *Simulator) charge(acc energy.Account, pj float64) {
-	pj *= s.chargeSkew
+func (s *Simulator) read(id structID) {
+	w := s.activeWays(id)
+	pj := s.costs[id][w].ReadPJ
+	s.st.energy.Add(structs[id].acc, pj)
+	s.st.shadowPJ += pj
+	if s.aud != nil {
+		s.aud.RecordCharge(audit.Charge{Acc: structs[id].acc, Name: structs[id].name, Ways: w})
+	}
+}
+
+// fill charges one fill of structure id; see read.
+//
+//eeat:chargesite
+func (s *Simulator) fill(id structID) {
+	w := s.activeWays(id)
+	pj := s.costs[id][w].WritePJ
+	s.st.energy.Add(structs[id].acc, pj)
+	s.st.shadowPJ += pj
+	if s.aud != nil {
+		s.aud.RecordCharge(audit.Charge{Acc: structs[id].acc, Name: structs[id].name, Ways: w, Write: true})
+	}
+}
+
+// walkRefs charges refs walk memory references to acc; see read.
+//
+//eeat:chargesite
+func (s *Simulator) walkRefs(acc energy.Account, refs int) {
+	pj := float64(refs) * s.walkRefPJ
 	s.st.energy.Add(acc, pj)
 	s.st.shadowPJ += pj
-}
-
-// The audit* helpers forward observations to the integrity layer when
-// one is attached. They are nil-guarded one-liners so the disabled-audit
-// hot path pays a single branch per event.
-
-func (s *Simulator) auditRead(acc energy.Account, name string, ways int) {
 	if s.aud != nil {
-		s.aud.RecordRead(acc, name, ways)
+		s.aud.RecordCharge(audit.Charge{Acc: acc, Refs: refs})
 	}
 }
 
-func (s *Simulator) auditWrite(acc energy.Account, name string, ways int) {
-	if s.aud != nil {
-		s.aud.RecordWrite(acc, name, ways)
+// activeWays is the way count structure id is priced at: the L1 page
+// TLBs' current active ways, 0 for every structure without
+// way-disabling.
+func (s *Simulator) activeWays(id structID) int {
+	switch id {
+	case sL1Page:
+		return s.l14k.ActiveWays()
+	case sL12M:
+		return s.l12m.ActiveWays()
+	case sL11G:
+		return s.l11g.ActiveWays()
 	}
-}
-
-func (s *Simulator) auditWalkRefs(acc energy.Account, refs int) {
-	if s.aud != nil {
-		s.aud.RecordWalkRefs(acc, refs)
-	}
-}
-
-func (s *Simulator) auditPageHit(name string, e tlb.Entry, sz addr.PageSize) {
-	if s.aud != nil {
-		s.aud.RecordPageHit(name, e, sz)
-	}
+	return 0
 }
 
 // applyFault performs the armed fault's corruption. Faults that need a
@@ -276,24 +299,20 @@ func (s *Simulator) applyFault() {
 		}
 		s.faultArmed = false
 	case inject.SkewCharge:
-		s.chargeSkew = s.fault.Factor
-		if s.chargeSkew == 0 {
-			s.chargeSkew = 1.5
+		// Scale every price once; each later charge is then skewed.
+		f := s.fault.Factor
+		if f == 0 {
+			f = 1.5
 		}
+		for _, row := range s.costs {
+			for w := range row {
+				row[w].ReadPJ *= f
+				row[w].WritePJ *= f
+			}
+		}
+		s.walkRefPJ *= f
 		s.faultArmed = false
 	}
-}
-
-func (s *Simulator) l14kCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L14KB, s.l14k.ActiveWays())
-}
-
-func (s *Simulator) l12mCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L12MB, s.l12m.ActiveWays())
-}
-
-func (s *Simulator) l11gCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L11GB, s.l11g.ActiveWays())
 }
 
 // Access simulates one memory operation: the virtual address and the
@@ -358,83 +377,37 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	pageHit := false
 	var pageHitSize addr.PageSize
 	if s.p.mixedL1() {
+		// TLB_PP's perfect predictor selects the index for the actual
+		// page size at no energy cost. Under TLB_Pred / Combined a real
+		// predictor does; a misprediction can never hit (the tag embeds
+		// the true size), so it costs a wasted probe and an extra cycle
+		// before the re-indexed one.
 		if s.pred != nil {
-			// TLB_Pred / Combined: a real predictor selects the index
-			// bits. A misprediction can never hit (the tag embeds the
-			// true size), so it forces a second, re-indexed probe with
-			// an extra read and an extra cycle.
-			predicted := s.pred.predict(va)
-			e, pos, hit := s.l14k.Lookup(mixKey(va, predicted))
-			s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-			s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-			if predicted != m.Size {
+			if predicted := s.pred.predict(va); predicted != m.Size {
+				s.l14k.Lookup(mixKey(va, predicted))
+				s.read(sL1Page)
 				s.pred.noteMispredict()
 				s.st.cycles += uint64(s.p.MispredictPenaltyCycles)
-				e, pos, hit = s.l14k.Lookup(mixKey(va, m.Size))
-				s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-				s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
 			}
 			s.pred.update(va, m.Size)
-			if hit {
-				pageHit, pageHitSize = true, m.Size
-				s.auditPageHit(energy.L14KB, e, m.Size)
-				if s.ctl != nil {
-					s.ctl.RecordHit(0, pos)
-				}
-			}
-		} else {
-			// TLB_PP: the perfect predictor selects the index for the
-			// actual page size at no energy cost; one structure is probed.
-			e, _, hit := s.l14k.Lookup(mixKey(va, m.Size))
-			s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-			s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-			if hit {
-				pageHit, pageHitSize = true, m.Size
-				s.auditPageHit(energy.L14KB, e, m.Size)
-			}
 		}
+		pageHit, pageHitSize = s.probeL1(sL1Page, s.l14k, mixKey(va, m.Size), m.Size, 0), m.Size
 	} else {
-		e1, pos, hit := s.l14k.Lookup(addr.VPN(va, addr.Page4K))
-		s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-		s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-		if hit {
+		if s.probeL1(sL1Page, s.l14k, addr.VPN(va, addr.Page4K), addr.Page4K, 0) {
 			pageHit, pageHitSize = true, addr.Page4K
-			s.auditPageHit(energy.L14KB, e1, addr.Page4K)
-			if s.ctl != nil {
-				s.ctl.RecordHit(0, pos)
-			}
 		}
-		if s.l12m != nil && s.l12mEnabled {
-			e2, pos2, hit2 := s.l12m.Lookup(addr.VPN(va, addr.Page2M))
-			s.charge(energy.AccL1Page2M, s.l12mCost().ReadPJ)
-			s.auditRead(energy.AccL1Page2M, energy.L12MB, s.l12m.ActiveWays())
-			if hit2 {
-				pageHit, pageHitSize = true, addr.Page2M
-				s.auditPageHit(energy.L12MB, e2, addr.Page2M)
-				if s.ctl != nil {
-					s.ctl.RecordHit(s.lite2mIdx, pos2)
-				}
-			}
+		if s.l12m != nil && s.l12mEnabled && s.probeL1(sL12M, s.l12m, addr.VPN(va, addr.Page2M), addr.Page2M, s.lite2mIdx) {
+			pageHit, pageHitSize = true, addr.Page2M
 		}
-		if s.l11g != nil && s.l11gEnabled {
-			e3, pos3, hit3 := s.l11g.Lookup(addr.VPN(va, addr.Page1G))
-			s.charge(energy.AccL1Page1G, s.l11gCost().ReadPJ)
-			s.auditRead(energy.AccL1Page1G, energy.L11GB, s.l11g.ActiveWays())
-			if hit3 {
-				pageHit, pageHitSize = true, addr.Page1G
-				s.auditPageHit(energy.L11GB, e3, addr.Page1G)
-				if s.ctl != nil {
-					s.ctl.RecordHit(s.lite1gIdx, pos3)
-				}
-			}
+		if s.l11g != nil && s.l11gEnabled && s.probeL1(sL11G, s.l11g, addr.VPN(va, addr.Page1G), addr.Page1G, s.lite1gIdx) {
+			pageHit, pageHitSize = true, addr.Page1G
 		}
 	}
 	rangeHit := false
 	var hitRange rmm.Range
 	if s.l1rng != nil {
 		re, rh := s.l1rng.Lookup(va)
-		s.charge(energy.AccL1Range, s.p.EnergyDB.Cost(energy.L1Range, 0).ReadPJ)
-		s.auditRead(energy.AccL1Range, energy.L1Range, 0)
+		s.read(sL1Range)
 		rangeHit = rh
 		if rh {
 			hitRange = re
@@ -483,6 +456,23 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	}
 }
 
+// probeL1 looks key up in L1 page TLB id (t), charging the read. A hit,
+// of a page of size sz, is reported to the auditor and, under Lite, to
+// the controller as monitored TLB liteIdx.
+func (s *Simulator) probeL1(id structID, t *tlb.SetAssoc, key uint64, sz addr.PageSize, liteIdx int) bool {
+	e, pos, hit := t.Lookup(key)
+	s.read(id)
+	if hit {
+		if s.aud != nil {
+			s.aud.RecordPageHit(structs[id].name, e, sz)
+		}
+		if s.ctl != nil {
+			s.ctl.RecordHit(liteIdx, pos)
+		}
+	}
+	return hit
+}
+
 // missPath handles an access that missed in all L1 structures.
 func (s *Simulator) missPath(va addr.VA, m pagetable.Mapping) {
 	s.st.l1Misses++
@@ -495,17 +485,15 @@ func (s *Simulator) missPath(va addr.VA, m pagetable.Mapping) {
 
 	// --- L2 probes: page and range TLBs in parallel ---
 	l2e, _, l2PageHit := s.l2.Lookup(mixKey(va, m.Size))
-	s.charge(energy.AccL2Page, s.p.EnergyDB.Cost(energy.L2Page, 0).ReadPJ)
-	s.auditRead(energy.AccL2Page, energy.L2Page, 0)
-	if l2PageHit {
-		s.auditPageHit(energy.L2Page, l2e, m.Size)
+	s.read(sL2Page)
+	if l2PageHit && s.aud != nil {
+		s.aud.RecordPageHit(energy.L2Page, l2e, m.Size)
 	}
 	var l2RangeEnt rmm.Range
 	l2RangeHit := false
 	if s.l2rng != nil {
 		l2RangeEnt, l2RangeHit = s.l2rng.Lookup(va)
-		s.charge(energy.AccL2Range, s.p.EnergyDB.Cost(energy.L2Range, 0).ReadPJ)
-		s.auditRead(energy.AccL2Range, energy.L2Range, 0)
+		s.read(sL2Range)
 		if l2RangeHit && s.aud != nil {
 			s.aud.RecordRangeHit(l2RangeEnt)
 		}
@@ -536,9 +524,8 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 
 	// All three paging-structure caches are probed in parallel.
 	start := s.mmu.Probe(va)
-	for _, st := range s.mmu.Structures() {
-		s.charge(energy.AccMMUCache, s.p.EnergyDB.Cost(st.Name(), 0).ReadPJ)
-		s.auditRead(energy.AccMMUCache, st.Name(), 0)
+	for i := range s.mmu.Structures() {
+		s.read(sPDE + structID(i))
 	}
 
 	wm, refs, ok := s.walk.Walk(va, start)
@@ -547,8 +534,7 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 	}
 	s.st.walkRefs += uint64(refs)
 	s.traceWalk(uint64(va), refs, wm.Size.String())
-	s.charge(energy.AccPageWalk, float64(refs)*s.walkRefPJ)
-	s.auditWalkRefs(energy.AccPageWalk, refs)
+	s.walkRefs(energy.AccPageWalk, refs)
 	if s.aud != nil {
 		s.aud.RecordWalkResult(wm)
 	}
@@ -562,68 +548,51 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 	s.mmu.Fill(va, leafLevelOf(wm.Size))
 	for i, st := range s.mmu.Structures() {
 		if st.Stats().Fills > fillsBefore[i] {
-			s.charge(energy.AccMMUCache, s.p.EnergyDB.Cost(st.Name(), 0).WritePJ)
-			s.auditWrite(energy.AccMMUCache, st.Name(), 0)
+			s.fill(sPDE + structID(i))
 		}
 	}
 
 	// Refill L2 and L1 page TLBs.
 	s.l2.Insert(tlb.Entry{Key: mixKey(va, wm.Size), Frame: uint64(wm.Frame)})
-	s.charge(energy.AccL2Page, s.p.EnergyDB.Cost(energy.L2Page, 0).WritePJ)
-	s.auditWrite(energy.AccL2Page, energy.L2Page, 0)
+	s.fill(sL2Page)
 	s.fillL1Page(va, wm)
 
 	// RMM: background range-table walk — no cycles, only energy (§5).
 	if s.rt != nil {
 		r, rrefs, found := s.rt.Walk(va)
-		s.charge(energy.AccRangeWalk, float64(rrefs)*s.walkRefPJ)
-		s.auditWalkRefs(energy.AccRangeWalk, rrefs)
+		s.walkRefs(energy.AccRangeWalk, rrefs)
 		if found {
 			if err := s.l2rng.Insert(r); err != nil {
 				panic(fmt.Sprintf("core: range table produced a bad range: %v", err))
 			}
-			s.charge(energy.AccL2Range, s.p.EnergyDB.Cost(energy.L2Range, 0).WritePJ)
-			s.auditWrite(energy.AccL2Range, energy.L2Range, 0)
+			s.fill(sL2Range)
 			s.fillL1Range(r)
 		}
 	}
 }
 
 // fillL1Page inserts the page translation into the L1 page TLB matching
-// its size and charges the write.
+// its size and charges the write. A huge-page fill also lifts that
+// TLB's §3.1 disable mask.
 func (s *Simulator) fillL1Page(va addr.VA, m pagetable.Mapping) {
 	if s.p.mixedL1() {
 		s.l14k.Insert(tlb.Entry{Key: mixKey(va, m.Size), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page4K, s.l14kCost().WritePJ)
-		s.auditWrite(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
+		s.fill(sL1Page)
 		return
 	}
+	t, id := s.l14k, sL1Page
 	switch m.Size {
-	case addr.Page4K:
-		s.l14k.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page4K), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page4K, s.l14kCost().WritePJ)
-		s.auditWrite(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
 	case addr.Page2M:
-		if s.l12m == nil {
-			panic(fmt.Sprintf("core: 2MB mapping at %#x but configuration %v has no L1-2MB TLB — address-space policy mismatch",
-				uint64(va), s.p.Kind))
-		}
-		s.l12mEnabled = true
-		s.l12m.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page2M), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page2M, s.l12mCost().WritePJ)
-		s.auditWrite(energy.AccL1Page2M, energy.L12MB, s.l12m.ActiveWays())
+		t, id, s.l12mEnabled = s.l12m, sL12M, true
 	case addr.Page1G:
-		if s.l11g == nil {
-			panic(fmt.Sprintf("core: 1GB mapping at %#x but configuration %v has no L1-1GB TLB — address-space policy mismatch",
-				uint64(va), s.p.Kind))
-		}
-		s.l11gEnabled = true
-		s.l11g.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page1G), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page1G, s.l11gCost().WritePJ)
-		s.auditWrite(energy.AccL1Page1G, energy.L11GB, s.l11g.ActiveWays())
-	default:
-		panic(fmt.Sprintf("core: unsupported page size %v", m.Size))
+		t, id, s.l11gEnabled = s.l11g, sL11G, true
 	}
+	if t == nil {
+		panic(fmt.Sprintf("core: %v mapping at %#x but configuration %v has no %s — address-space policy mismatch",
+			m.Size, uint64(va), s.p.Kind, structs[id].name))
+	}
+	t.Insert(tlb.Entry{Key: addr.VPN(va, m.Size), Frame: uint64(m.Frame)})
+	s.fill(id)
 }
 
 // fillL1Range inserts a range translation into the L1-range TLB when the
@@ -635,8 +604,7 @@ func (s *Simulator) fillL1Range(r rmm.Range) {
 	if err := s.l1rng.Insert(r); err != nil {
 		panic(fmt.Sprintf("core: range table produced a bad range: %v", err))
 	}
-	s.charge(energy.AccL1Range, s.p.EnergyDB.Cost(energy.L1Range, 0).WritePJ)
-	s.auditWrite(energy.AccL1Range, energy.L1Range, 0)
+	s.fill(sL1Range)
 }
 
 // Run drives the simulator with references from src — a workload

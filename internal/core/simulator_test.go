@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -64,6 +65,24 @@ func TestValidate(t *testing.T) {
 	bad.EnergyDB = nil
 	if bad.Validate() == nil {
 		t.Error("nil energy DB should be invalid")
+	}
+	// A database missing the L1-2MB TLB at 2 ways can price THP, whose
+	// L1 TLBs always run at full associativity, but not TLB_Lite.
+	var short []energy.Entry
+	for _, e := range energy.Table2().Entries() {
+		if e.Name != energy.L12MB || e.Ways != 2 {
+			short = append(short, e)
+		}
+	}
+	thp := DefaultParams(CfgTHP)
+	thp.EnergyDB = energy.FromEntries(short)
+	if err := thp.Validate(); err != nil {
+		t.Errorf("THP with no 2-way L1-2MB cost: %v, want valid", err)
+	}
+	lite := DefaultParams(CfgTLBLite)
+	lite.EnergyDB = thp.EnergyDB
+	if err := lite.Validate(); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("TLB_Lite with no 2-way L1-2MB cost: %v, want ErrInvalidParams", err)
 	}
 }
 

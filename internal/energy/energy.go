@@ -112,12 +112,10 @@ func (db *DB) Register(name string, ways int, c Cost) {
 }
 
 // Cost returns the cost of the named structure at the given active way
-// count. It panics if the configuration is unknown — an unknown
-// configuration means the simulator is charging a structure the energy
-// model cannot price, which is a programming error, not a runtime
-// condition.
-//
-//eeat:hotpath
+// count. It panics if the configuration is unknown — callers price
+// structures they know are registered; the simulator instead resolves
+// its prices with Lookup at construction and refuses an incomplete
+// database there.
 func (db *DB) Cost(name string, ways int) Cost {
 	if c, ok := db.m[key{name, ways}]; ok {
 		return c
@@ -132,23 +130,13 @@ func (db *DB) Cost(name string, ways int) Cost {
 // identified by what its energy database says, not by which *DB it
 // happens to point at.
 func (db *DB) Fingerprint() string {
-	if db == nil || len(db.m) == 0 {
+	entries := db.Entries()
+	if len(entries) == 0 {
 		return "energy:empty"
 	}
-	keys := make([]key, 0, len(db.m))
-	for k := range db.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].ways < keys[j].ways
-	})
 	var b strings.Builder
-	for _, k := range keys {
-		c := db.m[k]
-		fmt.Fprintf(&b, "%s/%d=%g,%g,%g;", k.name, k.ways, c.ReadPJ, c.WritePJ, c.LeakMW)
+	for _, e := range entries {
+		fmt.Fprintf(&b, "%s/%d=%g,%g,%g;", e.Name, e.Ways, e.Cost.ReadPJ, e.Cost.WritePJ, e.Cost.LeakMW)
 	}
 	return b.String()
 }

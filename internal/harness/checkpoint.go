@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"xlate/internal/core"
 	"xlate/internal/exper"
@@ -21,15 +20,13 @@ import (
 // emits the shortest float64 representation, which round-trips
 // exactly — resumed results render byte-identical tables.
 //
-// Every append publishes the whole journal via temp-file, fsync, and
-// atomic rename, so the file on disk is always a complete, valid JSONL
-// document: a crash at any instant leaves either the previous journal
-// or the new one, never a torn line. Without that, a truncated trailing
-// line from a crash mid-write would poison -resume — the next run's
-// appends would glue a fresh line onto the partial one, corrupting it
-// and silently dropping every cell journaled after it. A torn tail from
-// a pre-hardening journal (or a filesystem that reordered writes) is
-// healed on open: the valid prefix is kept, the partial line dropped.
+// The journal is a StreamJournal: every append is one write plus an
+// fsync, so a crash at any instant leaves at worst one torn final line.
+// Without healing it, a truncated trailing line would poison -resume —
+// the next run's appends would glue a fresh line onto the partial one,
+// corrupting it and silently dropping every cell journaled after it. A
+// resumed journal is therefore truncated to its valid prefix on open:
+// the complete lines are kept, the partial line dropped.
 
 const checkpointVersion = 1
 
@@ -45,16 +42,12 @@ type checkpointCell struct {
 	Result core.Result `json:"result"`
 }
 
-// journal holds the checkpoint's current valid contents in memory and
-// republishes the whole file atomically on every append. It serializes
-// itself: append is safe to call concurrently, and crucially without
-// the suite lock — publishing fsyncs, and a disk barrier under the
-// lock that gates every worker's result recording would stall the
-// whole pool on one slow device.
+// journal is the suite checkpoint over a StreamJournal. append is safe
+// to call concurrently, and crucially without the suite lock — it
+// fsyncs, and a disk barrier under the lock that gates every worker's
+// result recording would stall the whole pool on one slow device.
 type journal struct {
-	path string
-	mu   sync.Mutex
-	buf  []byte // complete journal contents, every line terminated
+	stream *StreamJournal
 }
 
 // openJournal prepares the checkpoint at path. Without resume the
@@ -62,24 +55,29 @@ type journal struct {
 // (loadCheckpoint has already validated its header), keeping only its
 // complete lines so a torn tail cannot corrupt later appends.
 func openJournal(path string, resume bool, opt exper.Options) (*journal, error) {
-	j := &journal{path: path}
+	var keep int64
 	if resume {
 		prev, err := os.ReadFile(path)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("harness: opening checkpoint: %w", err)
 		}
-		j.buf = ValidLines(prev)
+		keep = int64(len(ValidLines(prev)))
 	}
-	if len(j.buf) == 0 {
+	stream, err := OpenStream(path, keep)
+	if err != nil {
+		return nil, err
+	}
+	j := &journal{stream: stream}
+	if keep == 0 {
 		hdr := checkpointHeader{Version: checkpointVersion, Instrs: opt.Instrs, Scale: opt.Scale, Seed: opt.Seed}
 		b, err := json.Marshal(hdr)
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint encode: %w", err)
+		if err == nil {
+			err = stream.Append(b)
 		}
-		j.buf = append(b, '\n')
-	}
-	if err := j.publish(); err != nil {
-		return nil, err
+		if err != nil {
+			j.close()
+			return nil, fmt.Errorf("harness: checkpoint header: %w", err)
+		}
 	}
 	return j, nil
 }
@@ -107,45 +105,15 @@ func ValidLines(b []byte) []byte {
 	return b[:end]
 }
 
-// publish writes the buffered journal to a temp file in the same
-// directory, fsyncs it, and renames it over the checkpoint path. The
-// rename is atomic on POSIX filesystems; the directory is synced too so
-// the new name survives a crash right after the rename.
-func (j *journal) publish() error {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if _, err := tmp.Write(j.buf); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Errors
-// are ignored: some filesystems reject directory fsync, and the rename
-// itself already happened.
+// syncDir fsyncs a directory so a just-created or just-truncated
+// journal is durable. Errors are ignored: some filesystems reject
+// directory fsync.
 func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
 		return
 	}
-	d.Sync() //nolint:errcheck // best-effort durability of the rename
+	d.Sync() //nolint:errcheck // best-effort durability of the directory entry
 	d.Close()
 }
 
@@ -154,32 +122,26 @@ func (j *journal) append(key string, res core.Result) error {
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint encode: %w", err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = append(j.buf, b...)
-	j.buf = append(j.buf, '\n')
-	//eeatlint:allow locksafe the journal mutex exists to serialize the file write; the fsync is the critical section
-	return j.publish()
+	return j.stream.Append(b)
 }
 
+// close releases the file handle; every append is already durable.
+// Closing twice is harmless.
 func (j *journal) close() {
-	// Nothing is held open between appends; the journal on disk is
-	// already complete and durable.
+	j.stream.Close() //nolint:errcheck // a second close reports os.ErrClosed, nothing is lost
 }
 
-// StreamJournal is the streaming sibling of the suite checkpoint: an
-// append-only JSONL file where every record is durable the moment
-// Append returns (single write, then fsync). The suite checkpoint
-// republishes its whole file per append because it is small and
-// rewritten rarely; a journal that records every cluster event for the
-// life of a campaign needs O(1) appends instead. The torn-tail
-// discipline is shared: the caller validates the existing contents
-// (ValidLines plus its own record checks) and passes the byte length
-// of the prefix to keep — OpenStream truncates everything after it, so
-// a later append can never glue onto a partial line.
+// StreamJournal is the repo's one journal: an append-only JSONL file
+// where every record is durable the moment Append returns (single
+// write, then fsync), so appends stay O(1) however long the journal
+// grows. The suite checkpoint and the cluster coordinator's event
+// journal both build on it. The torn-tail discipline: the caller
+// validates the existing contents (ValidLines plus its own record
+// checks) and passes the byte length of the prefix to keep —
+// OpenStream truncates everything after it, so a later append can
+// never glue onto a partial line.
 type StreamJournal struct {
-	path string
-	f    *os.File
+	f *os.File
 }
 
 // OpenStream opens (creating if needed) the journal at path for
@@ -187,7 +149,7 @@ type StreamJournal struct {
 // validated prefix. The truncation itself is fsynced before the first
 // append so a heal survives a crash too.
 func OpenStream(path string, keep int64) (*StreamJournal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("harness: opening journal: %w", err)
 	}
@@ -209,18 +171,16 @@ func OpenStream(path string, keep int64) (*StreamJournal, error) {
 			return nil, fmt.Errorf("harness: healing journal tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: opening journal: %w", err)
-	}
 	syncDir(filepath.Dir(path))
-	return &StreamJournal{path: path, f: f}, nil
+	return &StreamJournal{f: f}, nil
 }
 
 // Append writes one record line (the terminating newline is added) and
 // fsyncs it. When Append returns nil the record is on disk; a crash at
 // any instant leaves at worst one torn final line, which the next
-// open's validated-prefix truncation heals.
+// open's validated-prefix truncation heals. Append is safe for
+// concurrent use: the record is a single Write, and *os.File serializes
+// writes, so concurrent records never interleave.
 func (s *StreamJournal) Append(line []byte) error {
 	buf := make([]byte, 0, len(line)+1)
 	buf = append(buf, line...)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xlate/internal/core"
@@ -37,7 +38,7 @@ func TestValidLines(t *testing.T) {
 }
 
 // journalLines parses the on-disk checkpoint and fails on any malformed
-// line — the invariant the atomic-publish scheme maintains.
+// line — the invariant the append-then-fsync scheme maintains.
 func journalLines(t *testing.T, path string) [][]byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -78,14 +79,6 @@ func TestJournalAppendPublishesAtomically(t *testing.T) {
 	if lines := journalLines(t, path); len(lines) != 3 {
 		t.Fatalf("journal has %d lines, want header + 2 cells", len(lines))
 	}
-	// No temp files left behind by the rename dance.
-	leftover, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leftover) != 0 {
-		t.Errorf("publish left temp files behind: %v", leftover)
-	}
 }
 
 // TestJournalHealsTornTailOnResume is the failure the hardening exists
@@ -107,8 +100,8 @@ func TestJournalHealsTornTailOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the torn write a crash can leave (pre-hardening journals,
-	// or reordered writes below the rename): chop the tail mid-line.
+	// Simulate the torn write a crash mid-append can leave: chop the
+	// tail mid-line.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +115,7 @@ func TestJournalHealsTornTailOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The torn cell-b line is dropped; header and cell-a survive, and
-	// the healed journal is republished complete.
+	// the healed journal is truncated to its complete lines.
 	lines := journalLines(t, path)
 	if len(lines) != 2 || !bytes.Contains(lines[1], []byte("cell-a")) {
 		t.Fatalf("healed journal = %d lines %q, want header + cell-a", len(lines), lines)
@@ -150,10 +143,9 @@ func TestResumeSurvivesTornCheckpointTail(t *testing.T) {
 	defer cancel()
 	s1 := New(Config{Workers: 2, Checkpoint: ckpt, Options: opts})
 	var once sync.Once
-	done := 0
+	var done atomic.Int32
 	s1.onCellDone = func(string) {
-		done++
-		if done >= 2 {
+		if done.Add(1) >= 2 {
 			once.Do(cancel)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,11 +135,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestPanickingCellBecomesRunError(t *testing.T) {
-	// new(energy.DB) passes the nil check in Params.Validate but has no
-	// registered costs, so the simulator panics the first time it
-	// charges energy — a stand-in for any internal invariant violation.
-	boomJob := tinyJob("boom", core.CfgTHP, 7)
-	boomJob.Params.EnergyDB = new(energy.DB)
+	// A 4KB-only hierarchy over a THP address space panics on the first
+	// 2MB fill (an address-space policy mismatch) — a stand-in for any
+	// internal invariant violation.
+	boomJob := tinyJob("boom", core.Cfg4KB, 7)
+	boomJob.Policy = core.PolicyFor(core.CfgTHP, 1)
+	boomJob.Spec.Regions[0].THPCoverage = 1
 	exps := []exper.Experiment{
 		cellExp("good", []exper.Job{tinyJob("alpha", core.CfgTHP, 7)}),
 		cellExp("boom", []exper.Job{boomJob}),
@@ -156,7 +158,7 @@ func TestPanickingCellBecomesRunError(t *testing.T) {
 	if !errors.As(results[1].Err, &re) {
 		t.Fatalf("panicking experiment error = %v, want *RunError", results[1].Err)
 	}
-	if re.Workload != "boom" || re.Config != "THP" {
+	if re.Workload != "boom" || re.Config != "4KB" {
 		t.Errorf("RunError cell identity = %s/%s", re.Workload, re.Config)
 	}
 	if re.Attempts != 3 {
@@ -166,7 +168,7 @@ func TestPanickingCellBecomesRunError(t *testing.T) {
 	if !errors.As(re.Cause, &pe) {
 		t.Fatalf("RunError cause = %T, want *PanicError", re.Cause)
 	}
-	if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "no cost registered") {
+	if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "policy mismatch") {
 		t.Errorf("PanicError should carry the panic value and stack: %v", pe.Value)
 	}
 }
@@ -201,10 +203,9 @@ func TestCancelCheckpointResume(t *testing.T) {
 	defer cancel()
 	s1 := New(Config{Workers: 2, Checkpoint: ckpt, Options: opts})
 	var once sync.Once
-	done := 0
+	var done atomic.Int32
 	s1.onCellDone = func(string) {
-		done++
-		if done >= 2 {
+		if done.Add(1) >= 2 {
 			once.Do(cancel)
 		}
 	}
@@ -215,8 +216,8 @@ func TestCancelCheckpointResume(t *testing.T) {
 	// Second run resumes from the journal and must complete with output
 	// byte-identical to an uninterrupted sequential run.
 	s2 := New(Config{Workers: 2, Checkpoint: ckpt, Resume: true, Options: opts})
-	executed := 0
-	s2.onCellDone = func(string) { executed++ }
+	var executed atomic.Int32
+	s2.onCellDone = func(string) { executed.Add(1) }
 	results, err := s2.Run(context.Background(), exps)
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +225,8 @@ func TestCancelCheckpointResume(t *testing.T) {
 	if got := renderAll(t, results); got != want {
 		t.Errorf("resumed output differs from sequential:\n--- resumed ---\n%s\n--- sequential ---\n%s", got, want)
 	}
-	if executed >= 5 {
-		t.Errorf("resume executed %d cells, want fewer than the full 5", executed)
+	if n := executed.Load(); n >= 5 {
+		t.Errorf("resume executed %d cells, want fewer than the full 5", n)
 	}
 }
 

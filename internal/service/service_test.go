@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"xlate/internal/core"
+	"xlate/internal/energy"
 	"xlate/internal/exper"
 	"xlate/internal/telemetry"
 )
@@ -468,6 +470,30 @@ func TestHTTPValidation(t *testing.T) {
 	}
 	if st, resp := postJob(t, ts, `{}`); resp.StatusCode != http.StatusBadRequest || st.Error == "" {
 		t.Errorf("empty submission: HTTP %d, want 400 with an error", resp.StatusCode)
+	}
+	// A cell whose energy database cannot price a structure it charges
+	// (the L1-2MB TLB at 2 ways, which Lite reaches) is refused before
+	// it is admitted, not failed mid-run on a worker.
+	j := wireTestJob(t)
+	j.Params = core.DefaultParams(core.CfgTLBLite)
+	j.Policy = core.PolicyFor(core.CfgTLBLite, 0.5)
+	wire := EncodeJob(j)
+	var short []energy.Entry
+	for _, e := range wire.EnergyDB {
+		if e.Name != energy.L12MB || e.Ways != 2 {
+			short = append(short, e)
+		}
+	}
+	wire.EnergyDB = short
+	body, err := json.Marshal(SubmitRequest{Cell: &wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, resp := postJob(t, ts, string(body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, energy.L12MB) {
+		t.Errorf("incomplete energy_db: HTTP %d %q, want 400 naming %s", resp.StatusCode, st.Error, energy.L12MB)
+	}
+	if n := len(s.Status().Jobs); n != 0 {
+		t.Errorf("%d jobs admitted, want every refused submission kept out of the queue", n)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
 	if err != nil {

@@ -70,13 +70,11 @@ func EncodeJob(j exper.Job) WireJob {
 }
 
 // Job rebuilds the executable cell and validates it, so a malformed or
-// hostile payload is rejected at the worker boundary instead of
-// panicking inside the simulator.
+// hostile payload — including an energy database that cannot price
+// every structure the cell charges — is rejected at the worker boundary
+// instead of panicking inside the simulator.
 func (w WireJob) Job() (exper.Job, error) {
 	p := w.Params
-	if len(w.EnergyDB) == 0 {
-		return exper.Job{}, fmt.Errorf("%w: cell carries no energy database", ErrBadRequest)
-	}
 	p.EnergyDB = energy.FromEntries(w.EnergyDB)
 	if err := p.Validate(); err != nil {
 		return exper.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)

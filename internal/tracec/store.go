@@ -235,6 +235,10 @@ func (s *Store) GetOrCompile(key string, compile func() ([]byte, error)) ([]byte
 		<-call.done
 		return call.data, call.err
 	}
+	if _, ok := s.entries[key]; ok { // a flight finished since the Get miss
+		s.mu.Unlock()
+		return s.GetOrCompile(key, compile)
+	}
 	call := &compileCall{done: make(chan struct{})}
 	s.flight[key] = call
 	s.mu.Unlock()

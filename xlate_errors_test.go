@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xlate"
+	"xlate/internal/energy"
 )
 
 // validWorkload is a minimal well-formed custom workload the invalid
@@ -39,6 +40,15 @@ func TestInvalidParamsRejected(t *testing.T) {
 		{"Lite reactivation probability above 1", func(p *xlate.Params) { p.Lite.ReactivateProb = 2 }},
 		{"non-power-of-two ways under Lite", func(p *xlate.Params) { p.L14KEntries, p.L14KWays = 60, 3 }},
 		{"zero MMU PDE entries", func(p *xlate.Params) { p.MMU.PDEEntries = 0 }},
+		{"energy database missing a way count Lite reaches", func(p *xlate.Params) {
+			var short []energy.Entry
+			for _, e := range energy.Table2().Entries() {
+				if e.Name != energy.L12MB || e.Ways != 2 {
+					short = append(short, e)
+				}
+			}
+			p.Kind, p.EnergyDB = xlate.CfgTLBLite, energy.FromEntries(short)
+		}},
 	}
 	w := validWorkload()
 	for _, tc := range cases {
