@@ -30,7 +30,7 @@ SERVICE_JOB = {"experiment":"fig2","instrs":400000,"scale":0.1,"seed":7}
 CLUSTER_FLAGS = -exp fig2 -instrs 400000 -scale 0.1 -seed 7
 CLUSTER_GOLDEN = testdata/cluster/fig2.golden
 
-.PHONY: check build vet lint test race bench bench-json loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke
+.PHONY: check build vet lint test race stress bench bench-json loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke
 
 check: build vet lint test race
 
@@ -60,6 +60,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Stress run: the concurrent packages — the segment store's
+# singleflight compile and the trace executor's memo, the harness
+# worker pool, the service daemon and cluster coordinator — ten times
+# over under the race detector, so a rare interleaving fails here
+# rather than as a flake in `make race`.
+STRESS_PKGS = ./internal/tracec ./internal/harness ./internal/service/...
+stress:
+	$(GO) test -race -count=10 $(STRESS_PKGS)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -247,7 +256,7 @@ TRACE_GOLDEN = testdata/tracec/ingest.golden
 trace-smoke:
 	rm -rf trace-smoke-store trace-smoke-dev
 	$(GO) run ./cmd/experiments $(CLUSTER_FLAGS) -parallel 4 -checkpoint "" \
-		-compile-traces -trace-store trace-smoke-store \
+		-trace-store trace-smoke-store \
 		| sed 's/^\(## .*\)  (.*s)$$/\1/' > trace-replay.out
 	diff $(CLUSTER_GOLDEN) trace-replay.out \
 		|| { echo "trace-smoke: compiled replay diverged from live synthesis" >&2; exit 1; }

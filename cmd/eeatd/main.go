@@ -92,10 +92,9 @@ func run() int {
 		golden    = flag.String("golden", "", "soak: report file every suite must match byte-for-byte (default: suites compared to each other)")
 		loadOut   = flag.String("load-out", "", "cluster dev mode: write the measured load report (throughput, p50/p95/p99 latency) as JSON to this file")
 
-		traceDir  = flag.String("trace-store", "", "segment store directory: enables POST /v1/traces ingestion and trace:<key> workloads (DESIGN.md §15)")
-		traceUp   = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
-		compileTr = flag.Bool("compile-traces", false, "compile model cells into trace segments once and replay them (requires -trace-store)")
-		ingest    = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
+		traceDir = flag.String("trace-store", "", "segment store directory: enables POST /v1/traces ingestion and trace:<key> workloads (DESIGN.md §15)")
+		traceUp  = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
+		ingest   = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
 	)
 	obs := obsflags.Register()
 	flag.Parse()
@@ -176,17 +175,12 @@ func run() int {
 			return 2
 		}
 		scfg.TraceStore = store
-		scfg.CompileTraces = *compileTr
 		// A worker daemon fetches dispatched trace-backed cells' segments
 		// from its coordinator unless told otherwise.
 		scfg.TraceUpstream = *traceUp
 		if scfg.TraceUpstream == "" && *workerURL != "" {
 			scfg.TraceUpstream = strings.TrimRight(*workerURL, "/")
 		}
-	} else if *compileTr {
-		logf("-compile-traces needs -trace-store")
-		sess.Close() //nolint:errcheck // exiting on the earlier error
-		return 2
 	}
 	svc, err = service.New(scfg)
 	if err != nil {

@@ -68,8 +68,7 @@ func run(ctx context.Context, out *os.File) error {
 		nrecord  = flag.Int("record-refs", 1_000_000, "references to record with -record")
 		remote   = flag.String("remote", "", "offload the simulation to an eeatd daemon at this base URL (e.g. http://localhost:8080)")
 
-		compileTraces = flag.Bool("compile-traces", false, "compile the workload into a replayable trace segment (cached in -trace-store) and replay it instead of live synthesis")
-		traceStore    = flag.String("trace-store", "", "segment store directory for -compile-traces")
+		traceStore = flag.String("trace-store", "", "compile the workload's reference stream into a segment in this directory (once) and replay it instead of live synthesis")
 
 		auditOn     = flag.Bool("audit", false, "attach the runtime integrity layer; a violation fails the run")
 		auditSample = flag.Uint64("audit-sample", audit.DefaultSampleEvery, "oracle sampling cadence: cross-check every Nth access (1 = every access)")
@@ -178,12 +177,9 @@ func run(ctx context.Context, out *os.File) error {
 	p.Metrics = core.NewMetrics(sess.Registry)
 	p.Trace = sess.Tracer
 	var res xlate.Result
-	if *compileTraces {
+	if *traceStore != "" {
 		if *replay != "" {
-			return fmt.Errorf("-compile-traces cannot be combined with -replay: %w", errUsage)
-		}
-		if *traceStore == "" {
-			return fmt.Errorf("-compile-traces needs -trace-store: %w", errUsage)
+			return fmt.Errorf("-trace-store cannot be combined with -replay: %w", errUsage)
 		}
 		store, err := tracec.OpenStore(*traceStore, 0, 0)
 		if err != nil {

@@ -63,8 +63,7 @@ func run() int {
 
 		progress = flag.Duration("progress", 0, "emit a progress line (cells done, ETA, aggregate MPKI) to stderr at this period, e.g. 10s (0 = off)")
 
-		compileTraces = flag.Bool("compile-traces", false, "compile each workload into a replayable trace segment once and replay it for every cell that shares it (requires -trace-store)")
-		traceStore    = flag.String("trace-store", "", "segment store directory for -compile-traces")
+		traceStore = flag.String("trace-store", "", "compile each workload's reference stream into a segment in this directory once and replay it for every cell that shares it")
 	)
 	obs := obsflags.Register()
 	flag.Parse()
@@ -129,18 +128,14 @@ func run() int {
 		}
 	}()
 
-	var traces *tracec.Executor
-	if *compileTraces || *traceStore != "" {
-		if *traceStore == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -compile-traces needs -trace-store")
-			return 2
-		}
+	var execute func(context.Context, exper.Job) (core.Result, error)
+	if *traceStore != "" {
 		store, err := tracec.OpenStore(*traceStore, 0, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 2
 		}
-		traces = &tracec.Executor{Store: store, CompileModels: *compileTraces, Logf: logf}
+		execute = (&tracec.Executor{Store: store, CompileModels: true, Logf: logf}).ExecuteJob
 	}
 
 	s := harness.New(harness.Config{
@@ -156,7 +151,7 @@ func run() int {
 			Metrics: core.NewMetrics(sess.Registry),
 			Trace:   sess.Tracer,
 		},
-		Traces:        traces,
+		Execute:       execute,
 		Logf:          logf,
 		Registry:      sess.Registry,
 		ProgressEvery: *progress,

@@ -19,6 +19,11 @@ type VA uint64
 // PA is a physical address.
 type PA uint64
 
+// IsUser reports whether va is in the user half of the canonical
+// address space, below 1<<47. The page table indexes bits 0-47 while
+// TLB tags keep every bit, so va and va|1<<52 would share one entry.
+func IsUser(va VA) bool { return va < 1<<47 }
+
 // PageSize enumerates the three x86-64 translation granularities.
 type PageSize int
 

@@ -249,6 +249,16 @@ func PolicyFor(kind ConfigKind, thpCoverage float64) vm.Policy {
 	panic(fmt.Sprintf("core: unknown config kind %d", int(kind)))
 }
 
+// CheckPolicy refuses, with ErrInvalidParams, a policy granting a page
+// size p has no L1 TLB for: THP's 2 MB pages need an L1-2MB TLB or a
+// mixed-size L1. Every hierarchy holds 1 GB pages.
+func (p Params) CheckPolicy(pol vm.Policy) error {
+	if pol.THP && !p.hasL12M() && !p.mixedL1() {
+		return fmt.Errorf("core: %w: %v has no L1 TLB for the 2MB pages a THP policy grants", ErrInvalidParams, p.Kind)
+	}
+	return nil
+}
+
 // Validate checks the parameters for consistency. Every failure wraps
 // ErrInvalidParams, so API users can classify with errors.Is.
 func (p Params) Validate() error {

@@ -104,10 +104,12 @@ type runStats struct {
 }
 
 // NewSimulator builds the configured TLB hierarchy over the given
-// address space. The address space must have been created with a policy
-// compatible with the configuration (see PolicyFor).
+// address space, whose policy must pass Params.CheckPolicy.
 func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := p.CheckPolicy(as.Policy()); err != nil {
 		return nil, err
 	}
 	costs, err := p.resolveCosts()
@@ -580,16 +582,13 @@ func (s *Simulator) fillL1Page(va addr.VA, m pagetable.Mapping) {
 		s.fill(sL1Page)
 		return
 	}
+	// Params.CheckPolicy guarantees the TLB for the page size exists.
 	t, id := s.l14k, sL1Page
 	switch m.Size {
 	case addr.Page2M:
 		t, id, s.l12mEnabled = s.l12m, sL12M, true
 	case addr.Page1G:
 		t, id, s.l11gEnabled = s.l11g, sL11G, true
-	}
-	if t == nil {
-		panic(fmt.Sprintf("core: %v mapping at %#x but configuration %v has no %s — address-space policy mismatch",
-			m.Size, uint64(va), s.p.Kind, structs[id].name))
 	}
 	t.Insert(tlb.Entry{Key: addr.VPN(va, m.Size), Frame: uint64(m.Frame)})
 	s.fill(id)

@@ -86,6 +86,24 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+func TestNewSimulatorRefusesPolicyMismatch(t *testing.T) {
+	// Every configuration simulates its own PolicyFor address space.
+	for _, k := range append(AllConfigs(), ExtendedConfigs()...) {
+		if err := DefaultParams(k).CheckPolicy(PolicyFor(k, 0.5)); err != nil {
+			t.Errorf("%v over its own policy: %v", k, err)
+		}
+	}
+	// A THP address space grants 2MB pages that the 4KB and RMM_Lite
+	// hierarchies have no L1 TLB for: refused at construction instead
+	// of panicking on the first 2MB fill.
+	for _, k := range []ConfigKind{Cfg4KB, CfgRMMLite} {
+		as, _ := mkSpace(t, CfgTHP, 1, 4<<20)
+		if _, err := NewSimulator(DefaultParams(k), as); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%v over a THP address space: %v, want ErrInvalidParams", k, err)
+		}
+	}
+}
+
 func Test4KBSequentialHitsAfterWarmup(t *testing.T) {
 	as, reg := mkSpace(t, Cfg4KB, 0, 16*addr.Bytes4K)
 	// Repeatedly touch 16 pages: fits easily in the 64-entry L1.

@@ -39,7 +39,6 @@ import (
 	"xlate/internal/exper"
 	"xlate/internal/stats"
 	"xlate/internal/telemetry"
-	"xlate/internal/tracec"
 )
 
 // Config parameterizes a Suite.
@@ -75,19 +74,12 @@ type Config struct {
 	// and the aggregate L1 MPKI of completed cells.
 	ProgressEvery time.Duration
 	// Execute, when non-nil, replaces exper.ExecuteJobContext as the
-	// per-cell executor. The cluster coordinator plugs in here to
-	// dispatch cells to remote workers while keeping the harness's
-	// plan/memo/checkpoint/render pipeline — and therefore its
-	// byte-identical output guarantee — untouched. The function must be
-	// safe for concurrent calls and must honor ctx.
+	// per-cell executor: a tracec.Executor's ExecuteJob replays trace
+	// segments, the cluster coordinator dispatches cells to workers.
+	// The plan/memo/checkpoint/render pipeline — and therefore its
+	// byte-identical output guarantee — stays untouched. The function
+	// must be safe for concurrent calls and must honor ctx.
 	Execute func(ctx context.Context, j exper.Job) (core.Result, error)
-	// Traces, when non-nil (and Execute is nil), runs cells through the
-	// workload compiler: the first cell for a spec compiles its trace
-	// segment into the executor's content-addressed store, and every
-	// later cell for the same spec — Params sweeps included — replays
-	// it at memcpy speed, byte-identical to live synthesis. Trace-backed
-	// specs (workloads.Spec.TraceRef) require it.
-	Traces *tracec.Executor
 	// Preload seeds the memo with already-completed cells (canonical
 	// cell key → result) before planning, exactly as a resumed
 	// checkpoint would. The cluster coordinator plugs its journal
@@ -133,6 +125,9 @@ func New(cfg Config) *Suite {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.Execute == nil {
+		cfg.Execute = exper.ExecuteJobContext
 	}
 	s := &Suite{
 		cfg:      cfg,
@@ -411,13 +406,7 @@ func (s *Suite) attemptCell(ctx context.Context, j exper.Job) (res core.Result, 
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if s.cfg.Execute != nil {
-		return s.cfg.Execute(ctx, j)
-	}
-	if s.cfg.Traces != nil {
-		return s.cfg.Traces.ExecuteJob(ctx, j)
-	}
-	return exper.ExecuteJobContext(ctx, j)
+	return s.cfg.Execute(ctx, j)
 }
 
 // render re-runs every experiment serially against the memoized

@@ -135,18 +135,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestPanickingCellBecomesRunError(t *testing.T) {
-	// A 4KB-only hierarchy over a THP address space panics on the first
-	// 2MB fill (an address-space policy mismatch) — a stand-in for any
-	// internal invariant violation.
-	boomJob := tinyJob("boom", core.Cfg4KB, 7)
-	boomJob.Policy = core.PolicyFor(core.CfgTHP, 1)
-	boomJob.Spec.Regions[0].THPCoverage = 1
+	// An executor that panics on one cell — a stand-in for any internal
+	// invariant violation — fails that cell, not the suite.
 	exps := []exper.Experiment{
 		cellExp("good", []exper.Job{tinyJob("alpha", core.CfgTHP, 7)}),
-		cellExp("boom", []exper.Job{boomJob}),
+		cellExp("boom", []exper.Job{tinyJob("boom", core.Cfg4KB, 7)}),
+	}
+	execute := func(ctx context.Context, j exper.Job) (core.Result, error) {
+		if j.Spec.Name == "boom" {
+			panic("core: invariant violated")
+		}
+		return exper.ExecuteJobContext(ctx, j)
 	}
 
-	s := New(Config{Workers: 4, Retries: 2})
+	s := New(Config{Workers: 4, Retries: 2, Execute: execute})
 	results, err := s.Run(context.Background(), exps)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestPanickingCellBecomesRunError(t *testing.T) {
 	if !errors.As(re.Cause, &pe) {
 		t.Fatalf("RunError cause = %T, want *PanicError", re.Cause)
 	}
-	if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "policy mismatch") {
+	if len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "invariant violated") {
 		t.Errorf("PanicError should carry the panic value and stack: %v", pe.Value)
 	}
 }

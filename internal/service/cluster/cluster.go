@@ -178,6 +178,9 @@ type Coordinator struct {
 
 	watchStop chan struct{}
 	watchDone chan struct{}
+
+	// local runs a cell in-process when no worker can take it.
+	local func(ctx context.Context, j exper.Job) (core.Result, error)
 }
 
 // NewCoordinator builds a coordinator and starts its heartbeat
@@ -198,6 +201,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		flight:    make(map[string]*cellFlight),
 		watchStop: make(chan struct{}),
 		watchDone: make(chan struct{}),
+		local:     exper.ExecuteJobContext,
+	}
+	if cfg.Traces != nil {
+		c.local = cfg.Traces.ExecuteJob
 	}
 	if cfg.Journal != "" {
 		opt := cfg.Options

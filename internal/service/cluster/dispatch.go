@@ -264,13 +264,7 @@ func (c *Coordinator) executeLocal(ctx context.Context, j exper.Job, key string,
 	c.m.cellsLocal.Inc()
 	c.cfg.Logf("no live workers for cell %s; executing locally", shortKey(key))
 	localStart := time.Now()
-	var res core.Result
-	var err error
-	if c.cfg.Traces != nil {
-		res, err = c.cfg.Traces.ExecuteJob(ctx, j)
-	} else {
-		res, err = exper.ExecuteJobContext(ctx, j)
-	}
+	res, err := c.local(ctx, j)
 	c.m.stageLocal.Observe(time.Since(localStart).Seconds())
 	c.spanRange(ct, localStart, time.Now(), "local_exec", telemetry.KV{K: "ok", V: err == nil})
 	if err != nil {

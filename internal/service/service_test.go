@@ -492,6 +492,18 @@ func TestHTTPValidation(t *testing.T) {
 	if st, resp := postJob(t, ts, string(body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, energy.L12MB) {
 		t.Errorf("incomplete energy_db: HTTP %d %q, want 400 naming %s", resp.StatusCode, st.Error, energy.L12MB)
 	}
+	// A 4KB hierarchy over a THP address space has no L1 TLB for the
+	// 2MB pages the policy grants: refused here, not panicked on the
+	// first 2MB fill.
+	j.Params = core.DefaultParams(core.Cfg4KB)
+	j.Policy = core.PolicyFor(core.CfgTHP, 0.5)
+	wire = EncodeJob(j)
+	if body, err = json.Marshal(SubmitRequest{Cell: &wire}); err != nil {
+		t.Fatal(err)
+	}
+	if st, resp := postJob(t, ts, string(body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "THP") {
+		t.Errorf("policy/config mismatch: HTTP %d %q, want 400 naming THP", resp.StatusCode, st.Error)
+	}
 	if n := len(s.Status().Jobs); n != 0 {
 		t.Errorf("%d jobs admitted, want every refused submission kept out of the queue", n)
 	}

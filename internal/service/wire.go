@@ -71,12 +71,16 @@ func EncodeJob(j exper.Job) WireJob {
 
 // Job rebuilds the executable cell and validates it, so a malformed or
 // hostile payload — including an energy database that cannot price
-// every structure the cell charges — is rejected at the worker boundary
-// instead of panicking inside the simulator.
+// every structure the cell charges, or a policy the configuration
+// cannot simulate — is rejected at the worker boundary instead of
+// panicking inside the simulator.
 func (w WireJob) Job() (exper.Job, error) {
 	p := w.Params
 	p.EnergyDB = energy.FromEntries(w.EnergyDB)
 	if err := p.Validate(); err != nil {
+		return exper.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if err := p.CheckPolicy(w.Policy); err != nil {
 		return exper.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if w.Spec.Name == "" {

@@ -90,6 +90,12 @@ func TestWireJobRejectsGarbage(t *testing.T) {
 			w.Params.L14KEntries = -4
 			return w
 		}(),
+		"policy-mismatch": func() WireJob {
+			j := wireTestJob(t)
+			j.Params = core.DefaultParams(core.Cfg4KB)
+			j.Policy = core.PolicyFor(core.CfgTHP, 0.5)
+			return EncodeJob(j)
+		}(),
 	}
 	for name, w := range cases {
 		if _, err := w.Job(); err == nil {

@@ -14,16 +14,15 @@ import (
 const formatVersion = 1
 
 // Key is the content address of a compiled segment: SHA-256 over the
-// format version, the complete spec, and every build input that shapes
-// the reference stream — policy, seed, scale, physical-memory override,
-// and the instruction budget. It deliberately excludes simulator
-// parameters (TLB geometry, energy tables): cells that sweep Params
-// under one OS policy share a single compiled trace, which is the
-// compile-once-replay-many win inside harness plans. The canonical
-// %+v encoding mirrors harness.JobKey's discipline.
+// format version and what the reference generator reads — the complete
+// spec, the policy's layout projection (vm.Policy.Layout), the seed,
+// the scale, and the instruction budget. Page sizes, eager paging and
+// simulator parameters shape translation, not the stream, so every
+// configuration simulating one workload shares one segment. The
+// canonical %+v encoding mirrors harness.JobKey's discipline.
 func Key(spec workloads.Spec, opt workloads.BuildOptions, instrs uint64) string {
-	canon := fmt.Sprintf("xlseg|v%d|spec=%+v|policy=%+v|seed=%d|scale=%g|phys=%d|instrs=%d",
-		formatVersion, spec, opt.Policy, opt.Seed, opt.Scale, opt.PhysBytes, instrs)
+	canon := fmt.Sprintf("xlseg|v%d|spec=%+v|layout=%+v|seed=%d|scale=%g|instrs=%d",
+		formatVersion, spec, opt.Policy.Layout(), opt.Seed, opt.Scale, instrs)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
 }
@@ -38,19 +37,20 @@ func ContentKey(segment []byte) string {
 }
 
 // CompileSpec lowers a workload model into a segment: it builds the
-// spec exactly as a live run would (same policy/seed/scale, and
-// therefore the same region windows and generator state) and freezes
-// the references the generator yields until the instruction budget is
-// met. The simulator consumes a reference while its accumulated
-// instructions are below the budget, and every reference carries at
-// least one instruction (the generator's pacing invariant), so the
-// compiled stream is exactly the prefix a live run consumes — the
-// byte-identity guarantee reduces to replaying this prefix through an
-// identically built address space.
+// spec under the policy's layout projection — the region windows, and
+// so the generator state, of a live run under any policy sharing that
+// layout — and freezes the references the generator yields until the
+// instruction budget is met. The simulator consumes a reference while
+// its accumulated instructions are below the budget, and every
+// reference carries at least one instruction (the generator's pacing
+// invariant), so the compiled stream is exactly the prefix a live run
+// consumes — the byte-identity guarantee reduces to replaying this
+// prefix through an identically built address space.
 func CompileSpec(spec workloads.Spec, opt workloads.BuildOptions, instrs uint64) ([]byte, SegmentInfo, error) {
 	if instrs == 0 {
 		return nil, SegmentInfo{}, fmt.Errorf("tracec: compiling %s: zero instruction budget", spec.Name)
 	}
+	opt.Policy = opt.Policy.Layout()
 	_, gen, err := spec.Build(opt)
 	if err != nil {
 		return nil, SegmentInfo{}, fmt.Errorf("tracec: compiling %s: %w", spec.Name, err)

@@ -13,8 +13,8 @@ import (
 	"xlate/internal/workloads"
 )
 
-// Executor runs simulation cells from compiled trace segments. It is
-// the drop-in per-cell executor the harness (Config.Traces), the
+// Executor runs simulation cells from compiled trace segments. Its
+// ExecuteJob is the per-cell executor the harness (Config.Execute), the
 // service daemon, and the cluster coordinator plug in:
 //
 //   - Cells whose spec is trace-backed (Spec.TraceRef) replay an
@@ -22,9 +22,9 @@ import (
 //     the upstream (coordinator) on a local miss. These cells cannot run
 //     without an Executor — workloads.Spec.Build refuses them.
 //   - Model cells compile-once-replay-many when CompileModels is set:
-//     the first cell for a (spec, policy, seed, scale, budget) tuple
-//     compiles the segment (singleflight), every later cell — including
-//     Params sweeps over the same workload — replays it. Reports stay
+//     the first cell for a stream (see Key) compiles the segment
+//     (singleflight), every later cell — every configuration and Params
+//     sweep over the same workload — replays it. Reports stay
 //     byte-identical to live synthesis (see CompileSpec).
 //   - Model cells fall through to exper.ExecuteJobContext when model
 //     compilation is off.
@@ -32,7 +32,7 @@ type Executor struct {
 	// Store holds the segments. Required.
 	Store *Store
 	// CompileModels turns on compile-once-replay-many for model cells
-	// (the -compile-traces flag).
+	// (what -trace-store selects on experiments and eeatsim).
 	CompileModels bool
 	// Fetch, when non-nil, retrieves a missing ingested segment by
 	// content hash — cluster workers point this at the coordinator's

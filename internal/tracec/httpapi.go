@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 
+	"xlate/internal/addr"
 	"xlate/internal/trace"
 )
 
@@ -215,30 +216,38 @@ func (a *API) serveSegment(w http.ResponseWriter, r *http.Request, key string) {
 // format (XLTRACE1 varint records — what `eeatsim -record` writes) and
 // an already-compiled XLSEGv1 segment. Validation is strict with typed
 // errors: malformed records wrap ErrBadTrace, damaged segments wrap
-// ErrSegmentCorrupt. Every reference must carry at least one
-// instruction — the generator's pacing invariant — or a replay could
-// spin without consuming budget.
+// ErrSegmentCorrupt. In either format, every reference must carry at
+// least one instruction — the generator's pacing invariant — or a
+// replay could spin without consuming budget, and every address must
+// be a canonical user address (addr.IsUser).
 func Ingest(data []byte) ([]byte, SegmentInfo, error) {
 	switch {
 	case len(data) >= len(segMagic) && bytes.Equal(data[:len(segMagic)], segMagic):
-		info, err := Stat(data)
-		if err != nil {
-			return nil, SegmentInfo{}, err
-		}
-		return data, info, nil
 	case bytes.HasPrefix(data, []byte("XLTRACE1\n")):
 		refs, err := decodeExternal(data)
 		if err != nil {
 			return nil, SegmentInfo{}, err
 		}
-		seg, info, err := EncodeRefs(refs)
-		if err != nil {
+		if data, _, err = EncodeRefs(refs); err != nil {
 			return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: %v", ErrBadTrace, err)
 		}
-		return seg, info, nil
 	default:
 		return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: unrecognized magic (want XLTRACE1 or XLSEGv1)", ErrBadTrace)
 	}
+	seg, err := Validate(data)
+	if err != nil {
+		return nil, SegmentInfo{}, err
+	}
+	rp := seg.Replay()
+	for i := range seg.Info().Refs {
+		switch r := rp.Next(); {
+		case r.Instrs == 0:
+			return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: record %d carries zero instructions (pacing invariant: every reference advances the budget)", ErrBadTrace, i)
+		case !addr.IsUser(r.VA):
+			return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: record %d address %#x is not a canonical user address (below 1<<47)", ErrBadTrace, i, uint64(r.VA))
+		}
+	}
+	return data, seg.Info(), nil
 }
 
 // decodeExternal strictly decodes an XLTRACE1 stream.
@@ -255,9 +264,6 @@ func decodeExternal(data []byte) ([]trace.Ref, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tracec: %w: record %d: %v", ErrBadTrace, len(refs), err)
-		}
-		if r.Instrs == 0 {
-			return nil, fmt.Errorf("tracec: %w: record %d carries zero instructions (pacing invariant: every reference advances the budget)", ErrBadTrace, len(refs))
 		}
 		refs = append(refs, r)
 	}

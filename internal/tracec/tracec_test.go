@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/trace"
+	"xlate/internal/vm"
 	"xlate/internal/workloads"
 )
 
@@ -314,11 +316,15 @@ func TestIngest(t *testing.T) {
 		t.Fatal("XLSEGv1 passthrough mutated the bytes")
 	}
 
-	// Strictness: zero-instruction records break the pacing invariant.
+	// Strictness: zero-instruction records break the pacing invariant,
+	// in either format.
 	bad := refs[:3:3]
 	bad = append(bad, trace.Ref{VA: 4096, Instrs: 0})
-	if _, _, err := Ingest(externalTrace(t, bad)); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("zero-instr record: err = %v, want ErrBadTrace", err)
+	badSeg, _ := mustSegment(t, bad)
+	for _, data := range [][]byte{externalTrace(t, bad), badSeg} {
+		if _, _, err := Ingest(data); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("zero-instr record: err = %v, want ErrBadTrace", err)
+		}
 	}
 	// Empty stream, unknown magic, damaged segment.
 	if _, _, err := Ingest(externalTrace(t, nil)); !errors.Is(err, ErrBadTrace) {
@@ -332,6 +338,28 @@ func TestIngest(t *testing.T) {
 	if _, _, err := Ingest(mut); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("damaged segment: err = %v, want ErrSegmentCorrupt", err)
 	}
+	// Kernel-half and non-canonical addresses, in either format: the
+	// page table indexes 48 bits, so they would alias user pages.
+	for name, data := range nonUserTraces(t, refs) {
+		if _, _, err := Ingest(data); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: err = %v, want ErrBadTrace", name, err)
+		}
+	}
+}
+
+// nonUserTraces returns refs with one address moved out of the user
+// half of the canonical address space, once per ingestible format.
+func nonUserTraces(t *testing.T, refs []trace.Ref) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, va := range map[string]addr.VA{"kernel-half": 1 << 47, "non-canonical": refs[1].VA | 1<<52} {
+		bad := slices.Clone(refs)
+		bad[1].VA = va
+		out[name+" XLTRACE1"] = externalTrace(t, bad)
+		seg, _ := mustSegment(t, bad)
+		out[name+" XLSEGv1"] = seg
+	}
+	return out
 }
 
 func postTrace(t *testing.T, ts *httptest.Server, body []byte, gzipped bool) (*http.Response, []byte) {
@@ -477,6 +505,11 @@ func TestAPIRejections(t *testing.T) {
 	if !bytes.Contains(body, []byte("error")) {
 		t.Fatalf("400 body is not a typed error: %s", body)
 	}
+	for name, data := range nonUserTraces(t, synthRefs(5, 4)) {
+		if resp, _ := postTrace(t, ts, data, false); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s POST: HTTP %d, want 400", name, resp.StatusCode)
+		}
+	}
 
 	// Over the raw limit → 413.
 	resp, _ = postTrace(t, ts, externalTrace(t, synthRefs(5000, 1)), false)
@@ -585,8 +618,8 @@ func TestExecutorModelReplayMatchesLive(t *testing.T) {
 			t.Fatalf("%v: cached replay differs from live synthesis", kind)
 		}
 	}
-	if n, _ := store.Stats(); n != 2 {
-		t.Fatalf("store holds %d segments, want 2 (one per policy)", n)
+	if n, _ := store.Stats(); n != 1 {
+		t.Fatalf("store holds %d segments, want 1 (both policies share the stream)", n)
 	}
 }
 
@@ -719,7 +752,6 @@ func TestKeyDiscriminates(t *testing.T) {
 	}{
 		{"seed", Key(spec, workloads.BuildOptions{Policy: base.Policy, Seed: 8, Scale: 0.25}, 100_000)},
 		{"scale", Key(spec, workloads.BuildOptions{Policy: base.Policy, Seed: 7, Scale: 0.5}, 100_000)},
-		{"policy", Key(spec, workloads.BuildOptions{Policy: core.PolicyFor(core.CfgTHP, 0.5), Seed: 7, Scale: 0.25}, 100_000)},
 		{"instrs", Key(spec, base, 200_000)},
 	}
 	for _, v := range variants {
@@ -729,6 +761,110 @@ func TestKeyDiscriminates(t *testing.T) {
 	}
 	if k2 := Key(spec, base, 100_000); k2 != k {
 		t.Error("Key is not deterministic")
+	}
+}
+
+// liveSegment encodes the prefix of the stream a live run under opt
+// consumes: the spec built under the full policy, not its layout.
+func liveSegment(t *testing.T, spec workloads.Spec, opt workloads.BuildOptions, instrs uint64) []byte {
+	t.Helper()
+	_, gen, err := spec.Build(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder()
+	for total := uint64(0); total < instrs; {
+		r := gen.Next()
+		total += r.Instrs
+		enc.Add(r)
+	}
+	seg, _, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+func mustCompile(t *testing.T, spec workloads.Spec, opt workloads.BuildOptions, instrs uint64) []byte {
+	t.Helper()
+	seg, _, err := CompileSpec(spec, opt, instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+// TestKeyFollowsStream pins the segment key to the stream. Under every
+// configuration's policy, at each THP coverage the experiments use, a
+// workload has exactly one key, and live synthesis under each of those
+// policies yields the compiled bytes. A policy that moves the layout
+// yields a different key and different bytes.
+func TestKeyFollowsStream(t *testing.T) {
+	const instrs = 20_000
+	kinds := append(core.AllConfigs(), core.ExtendedConfigs()...)
+	for _, spec := range workloads.All() {
+		keys := map[string]bool{}
+		var compiled []byte
+		for _, kind := range kinds {
+			for _, coverage := range []float64{0, 0.5} {
+				opt := workloads.BuildOptions{Policy: core.PolicyFor(kind, coverage), Seed: 7, Scale: 0.01}
+				keys[Key(spec, opt, instrs)] = true
+				if compiled == nil {
+					compiled = mustCompile(t, spec, opt, instrs)
+				}
+				if !bytes.Equal(liveSegment(t, spec, opt, instrs), compiled) {
+					t.Errorf("%s under %v at coverage %g: live stream differs from the compiled segment", spec.Name, kind, coverage)
+				}
+			}
+		}
+		if len(keys) != 1 {
+			t.Errorf("%s: %d keys across the configurations' policies, want 1", spec.Name, len(keys))
+		}
+	}
+
+	// Flip each policy field alone over a workload with a region of at
+	// least 1 GB. The key and the bytes move exactly when the layout
+	// does, and the compiled bytes always equal live synthesis.
+	big := workloads.Spec{
+		Name: "big", InstrPerRef: 2,
+		Regions: []workloads.RegionSpec{{Name: "small", Bytes: 64 << 10}, {Name: "big", Bytes: 1 << 30}},
+		Phases: []workloads.PhaseSpec{{Refs: 1000, Access: []workloads.AccessSpec{
+			{Region: 1, Weight: 1, Pattern: workloads.Uni},
+		}}},
+	}
+	base := workloads.BuildOptions{Seed: 7, Scale: 1}
+	baseKey, baseSeg := Key(big, base, instrs), mustCompile(t, big, base, instrs)
+	moved := 0
+	fields := reflect.TypeFor[vm.Policy]()
+	for i := range fields.NumField() {
+		name := fields.Field(i).Name
+		opt := base
+		f := reflect.ValueOf(&opt.Policy).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			t.Fatalf("policy field %s has unhandled kind %v", name, f.Kind())
+		}
+		layoutMoved := opt.Policy.Layout() != base.Policy.Layout()
+		seg := mustCompile(t, big, opt, instrs)
+		if !bytes.Equal(seg, liveSegment(t, big, opt, instrs)) {
+			t.Errorf("%s: compiled segment differs from live synthesis", name)
+		}
+		if (Key(big, opt, instrs) != baseKey) != layoutMoved {
+			t.Errorf("%s: key changed = %v, layout changed = %v", name, !layoutMoved, layoutMoved)
+		}
+		if !bytes.Equal(seg, baseSeg) != layoutMoved {
+			t.Errorf("%s: bytes changed = %v, layout changed = %v", name, !layoutMoved, layoutMoved)
+		}
+		if layoutMoved {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no policy field moves the layout: the different-key half went untested")
 	}
 }
 

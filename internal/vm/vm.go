@@ -47,6 +47,12 @@ type Policy struct {
 	GBPages bool
 }
 
+// Layout returns the projection of p that places regions in the
+// virtual address space: policies with equal layouts map every Mmap
+// sequence at the same addresses. Only GBPages moves addresses (1 GB
+// alignment of large regions); Mmap takes its alignment from here.
+func (p Policy) Layout() Policy { return Policy{GBPages: p.GBPages} }
+
 // Config parameterizes an address space.
 type Config struct {
 	Policy    Policy
@@ -120,6 +126,9 @@ func New(cfg Config) *AddressSpace {
 	}
 }
 
+// Policy returns the policy the address space was created under.
+func (as *AddressSpace) Policy() Policy { return as.policy }
+
 // PageTable exposes the process page table for the hardware walker.
 func (as *AddressSpace) PageTable() *pagetable.Table { return as.pt }
 
@@ -159,7 +168,7 @@ func (as *AddressSpace) MmapCoverage(size uint64, coverage float64) (Region, err
 	as.curCoverage = coverage
 	size = addr.AlignUp(size, addr.Bytes4K)
 	align := uint64(addr.Bytes2M)
-	if as.policy.GBPages && size >= addr.Bytes1G {
+	if as.policy.Layout().GBPages && size >= addr.Bytes1G {
 		align = addr.Bytes1G
 	}
 	base := addr.VA(addr.AlignUp(as.nextVA, align))

@@ -173,9 +173,6 @@ type BuildOptions struct {
 	// Scale multiplies region sizes (0 = 1.0). Benches use < 1 to bound
 	// setup time; experiments use 1.
 	Scale float64
-	// PhysBytes overrides physical memory (0 = footprint × 2, at least
-	// 4 GB), enough for perfect eager paging.
-	PhysBytes uint64
 }
 
 // Build instantiates the workload: it creates the address space (mapping
@@ -209,13 +206,9 @@ func (s Spec) BuildThreads(opt BuildOptions, threads int) (*vm.AddressSpace, []*
 	if scale < 0 {
 		return nil, nil, fmt.Errorf("workloads: negative scale")
 	}
-	phys := opt.PhysBytes
-	if phys == 0 {
-		phys = 2 * uint64(float64(s.FootprintBytes())*scale)
-		if phys < 4<<30 {
-			phys = 4 << 30
-		}
-	}
+	// Physical memory: twice the footprint, at least 4 GB — enough for
+	// perfect eager paging.
+	phys := max(2*uint64(float64(s.FootprintBytes())*scale), 4<<30)
 	as := vm.New(vm.Config{Policy: opt.Policy, PhysBytes: phys, Seed: opt.Seed})
 
 	regions := make([]vm.Region, len(s.Regions))
