@@ -18,6 +18,7 @@ package physmem
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"xlate/internal/addr"
 )
@@ -30,14 +31,17 @@ const MaxOrder = 24
 
 // Allocator is a buddy allocator over a contiguous physical frame range
 // [0, frames). The zero value is not usable; use New.
+//
+// Block state lives in two bitmaps per order, both indexed by
+// base>>order: free[k] marks the free blocks of order k and head[k]
+// the allocated blocks of order k, so Free needs no size from the
+// caller. Bitmap leaves are allocated on first use, so an allocator's
+// memory follows the frames it has handed out, not the frames it
+// manages.
 type Allocator struct {
 	frames uint64
-	// free[k] holds the set of free block base frames of order k.
-	// A map doubles as membership test for O(1) buddy coalescing.
-	free [MaxOrder + 1]map[uint64]struct{}
-	// orderOf records the order of every allocated block, keyed by base
-	// frame, so Free does not need the caller to remember sizes.
-	orderOf map[uint64]int
+	free   [MaxOrder + 1]bitmap
+	head   [MaxOrder + 1]bitmap
 
 	allocated uint64 // frames currently allocated
 	peak      uint64 // high-water mark of allocated frames
@@ -47,9 +51,10 @@ type Allocator struct {
 // The frame count is rounded down to a multiple of the largest block
 // that fits, and the whole range is seeded as free blocks.
 func New(frames uint64) *Allocator {
-	a := &Allocator{frames: frames, orderOf: make(map[uint64]int)}
+	a := &Allocator{frames: frames}
 	for k := range a.free {
-		a.free[k] = make(map[uint64]struct{})
+		a.free[k] = newBitmap(frames >> k)
+		a.head[k] = newBitmap(frames >> k)
 	}
 	// Seed maximal aligned free blocks greedily from frame 0.
 	base := uint64(0)
@@ -58,10 +63,7 @@ func New(frames uint64) *Allocator {
 		for k > 0 && (base&blockMask(k) != 0 || base+blockFrames(k) > frames) {
 			k--
 		}
-		if base+blockFrames(k) > frames {
-			break // trailing fragment smaller than one frame cannot happen; k=0 fits
-		}
-		a.free[k][base] = struct{}{}
+		a.free[k].set(base >> k)
 		base += blockFrames(k)
 	}
 	return a
@@ -85,36 +87,28 @@ func OrderForBytes(bytes uint64) int {
 
 // Alloc allocates one naturally aligned block of 2^order frames and
 // returns its base physical address. It fails if no block of that order
-// or larger is free.
+// or larger is free. The block is the lowest-based free block of the
+// smallest sufficient order, split down by freeing its upper buddies,
+// so placement depends only on the sequence of calls.
 func (a *Allocator) Alloc(order int) (addr.PA, error) {
 	if order < 0 || order > MaxOrder {
 		return 0, fmt.Errorf("physmem: invalid order %d", order)
 	}
 	k := order
-	for k <= MaxOrder && len(a.free[k]) == 0 {
+	for k <= MaxOrder && a.free[k].count == 0 {
 		k++
 	}
 	if k > MaxOrder {
 		return 0, fmt.Errorf("physmem: out of memory for order-%d block (%d frames allocated of %d)",
 			order, a.allocated, a.frames)
 	}
-	// Pick the lowest-based free block of the order. Taking an arbitrary
-	// map key here would make frame placement — and therefore physical
-	// contiguity, range-table contents and energy totals — depend on
-	// Go's randomized map iteration order.
-	base := ^uint64(0)
-	for b := range a.free[k] { //eeatlint:allow determinism min-reduction over the free set is iteration-order-insensitive
-		if b < base {
-			base = b
-		}
-	}
-	delete(a.free[k], base)
+	base := a.free[k].takeFirst() << k
 	// Split down to the requested order, freeing the upper buddies.
 	for k > order {
 		k--
-		a.free[k][base+blockFrames(k)] = struct{}{}
+		a.free[k].set(base>>k | 1)
 	}
-	a.orderOf[base] = order
+	a.head[order].set(base >> order)
 	a.allocated += blockFrames(order)
 	if a.allocated > a.peak {
 		a.peak = a.allocated
@@ -123,27 +117,27 @@ func (a *Allocator) Alloc(order int) (addr.PA, error) {
 }
 
 // Free releases a block previously returned by Alloc, coalescing with
-// free buddies as far as possible.
+// free buddies as far as possible. An address that is not the base of
+// an allocated block (never allocated, already freed, inside a block,
+// not frame-aligned, or beyond Frames) is an error.
 func (a *Allocator) Free(pa addr.PA) error {
 	base := uint64(pa) >> FrameShift
-	order, ok := a.orderOf[base]
-	if !ok {
-		return fmt.Errorf("physmem: free of unallocated block at %#x", uint64(pa))
+	if uint64(pa)&(1<<FrameShift-1) != 0 || base >= a.frames {
+		return fmt.Errorf("physmem: free of %#x, not a frame below %#x", uint64(pa), a.frames<<FrameShift)
 	}
-	delete(a.orderOf, base)
+	order := 0
+	for !a.head[order].take(base >> order) {
+		order++
+		if order > MaxOrder || base&blockMask(order) != 0 {
+			return fmt.Errorf("physmem: free of unallocated block at %#x", uint64(pa))
+		}
+	}
 	a.allocated -= blockFrames(order)
-	for order < MaxOrder {
-		buddy := base ^ blockFrames(order)
-		if _, free := a.free[order][buddy]; !free {
-			break
-		}
-		delete(a.free[order], buddy)
-		if buddy < base {
-			base = buddy
-		}
+	for order < MaxOrder && a.free[order].take(base>>order^1) {
+		base &^= blockFrames(order)
 		order++
 	}
-	a.free[order][base] = struct{}{}
+	a.free[order].set(base >> order)
 	return nil
 }
 
@@ -164,45 +158,63 @@ func (a *Allocator) FreeFrames() uint64 { return a.frames - a.allocated }
 // page or an eager range of a given size can be satisfied contiguously.
 func (a *Allocator) LargestFreeOrder() int {
 	for k := MaxOrder; k >= 0; k-- {
-		if len(a.free[k]) > 0 {
+		if a.free[k].count > 0 {
 			return k
 		}
 	}
 	return -1
 }
 
-// CheckInvariants validates internal consistency: free blocks are
-// aligned, in range, non-overlapping with each other, and the free +
-// allocated frame counts add up. Intended for tests.
+// CheckInvariants validates internal consistency: free and allocated
+// blocks lie in range, cover no frame twice, match their bitmaps'
+// counts and cursors, and the free + allocated frame counts add up.
+// Intended for tests.
 func (a *Allocator) CheckInvariants() error {
-	seen := make(map[uint64]int) // frame -> owner count
-	var freeFrames uint64
-	for k, set := range a.free {
-		for base := range set { //eeatlint:allow determinism validation scan; any violation is reported regardless of visit order
-			if base&blockMask(k) != 0 {
-				return fmt.Errorf("free block %#x order %d misaligned", base, k)
+	type block struct {
+		base  uint64
+		order int
+		free  bool
+	}
+	var blocks []block
+	var freeFrames, allocFrames uint64
+	scan := func(set *bitmap, k int, free bool) error {
+		n := 0
+		for i, ok := set.next(0); ok; i, ok = set.next(i + 1) {
+			if n == 0 && i>>6 < set.low {
+				return fmt.Errorf("order %d block %#x lies below the bitmap cursor", k, i<<k)
 			}
+			n++
+			base := i << k
 			if base+blockFrames(k) > a.frames {
-				return fmt.Errorf("free block %#x order %d out of range", base, k)
+				return fmt.Errorf("block %#x order %d out of range", base, k)
 			}
-			for f := base; f < base+blockFrames(k); f++ {
-				seen[f]++
-				if seen[f] > 1 {
-					return fmt.Errorf("frame %#x covered twice", f)
-				}
+			blocks = append(blocks, block{base, k, free})
+			if free {
+				freeFrames += blockFrames(k)
+			} else {
+				allocFrames += blockFrames(k)
 			}
-			freeFrames += blockFrames(k)
+		}
+		if n != set.count {
+			return fmt.Errorf("order %d bitmap counts %d blocks, holds %d", k, set.count, n)
+		}
+		return nil
+	}
+	for k := range a.free {
+		if err := scan(&a.free[k], k, true); err != nil {
+			return err
+		}
+		if err := scan(&a.head[k], k, false); err != nil {
+			return err
 		}
 	}
-	var allocFrames uint64
-	for base, k := range a.orderOf { //eeatlint:allow determinism validation scan; any violation is reported regardless of visit order
-		for f := base; f < base+blockFrames(k); f++ {
-			seen[f]++
-			if seen[f] > 1 {
-				return fmt.Errorf("allocated frame %#x also free", f)
-			}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].base < blocks[j].base })
+	for i := 1; i < len(blocks); i++ {
+		prev := blocks[i-1]
+		if end := prev.base + blockFrames(prev.order); end > blocks[i].base {
+			return fmt.Errorf("frame %#x covered twice (order-%d block at %#x, free=%v)",
+				blocks[i].base, prev.order, prev.base, prev.free)
 		}
-		allocFrames += blockFrames(k)
 	}
 	if allocFrames != a.allocated {
 		return fmt.Errorf("allocated count %d != sum of blocks %d", a.allocated, allocFrames)

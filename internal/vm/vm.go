@@ -249,10 +249,18 @@ var errAllocate = fmt.Errorf("vm: allocate sentinel")
 // the physical address for a given offset within the chunk when the
 // backing is pre-allocated contiguously (eager paging); returning
 // errAllocate makes this function allocate frames from the buddy
-// allocator instead. THP policy applies in both cases.
+// allocator instead. THP policy applies in both cases. Allocated blocks
+// are recorded under va in as.blocks once per chunk, not per page.
 func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, paAt func(off uint64) (addr.PA, error)) error {
 	regionBase := va
 	end := va + addr.VA(bytes)
+	blocks := as.blocks[regionBase]
+	owned := len(blocks)
+	defer func() {
+		if len(blocks) > owned {
+			as.blocks[regionBase] = blocks
+		}
+	}()
 	for va < end {
 		left := uint64(end - va)
 		if as.policy.GBPages && addr.IsAligned(uint64(va), addr.Bytes1G) && left >= addr.Bytes1G {
@@ -262,7 +270,7 @@ func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, paAt func(off ui
 				if err != nil {
 					return fmt.Errorf("vm: gigabyte page allocation: %w", err)
 				}
-				as.blocks[regionBase] = append(as.blocks[regionBase], pa)
+				blocks = append(blocks, pa)
 			} else if err != nil {
 				return err
 			}
@@ -281,7 +289,7 @@ func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, paAt func(off ui
 				if err != nil {
 					return fmt.Errorf("vm: huge page allocation: %w", err)
 				}
-				as.blocks[regionBase] = append(as.blocks[regionBase], pa)
+				blocks = append(blocks, pa)
 			} else if err != nil {
 				return err
 			}
@@ -298,7 +306,7 @@ func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, paAt func(off ui
 			if err != nil {
 				return fmt.Errorf("vm: page allocation: %w", err)
 			}
-			as.blocks[regionBase] = append(as.blocks[regionBase], pa)
+			blocks = append(blocks, pa)
 		} else if err != nil {
 			return err
 		}

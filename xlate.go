@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 
+	"xlate/internal/addr"
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/stats"
@@ -254,9 +255,18 @@ func RecordTrace(w Workload, cfg Config, n int, opt RunOptions) ([]Ref, error) {
 // the trace as needed to fill the instruction budget). The address
 // space is demand-paged under the configuration's OS policy, so traces
 // recorded anywhere — including from real programs — can be replayed.
+// Every reference must lie in the user half of the address space
+// (below 1<<47): the page table indexes 48 bits, so a higher address
+// would alias a user page.
 func ReplayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions) (Result, error) {
 	if len(refs) == 0 {
 		return Result{}, fmt.Errorf("xlate: %w: empty trace", ErrInvalidParams)
+	}
+	for i, r := range refs {
+		if !addr.IsUser(r.VA) {
+			return Result{}, fmt.Errorf("xlate: %w: trace reference %d at %#x is not a user address (below 1<<47)",
+				ErrInvalidParams, i, uint64(r.VA))
+		}
 	}
 	if opt.Seed == 0 {
 		opt.Seed = 42

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xlate"
+	"xlate/internal/addr"
 	"xlate/internal/energy"
 )
 
@@ -112,6 +113,29 @@ func TestLookupErrorsWrapSentinels(t *testing.T) {
 	p := xlate.DefaultParams(xlate.CfgTHP)
 	if _, err := xlate.ReplayTrace(nil, p, 1000, xlate.RunOptions{}); !errors.Is(err, xlate.ErrInvalidParams) {
 		t.Errorf("ReplayTrace(empty) = %v, want ErrInvalidParams", err)
+	}
+}
+
+// TestReplayTraceRejectsNonUserAddresses: a recorded reference at or
+// above 1<<47 (kernel half or non-canonical) would share a page-table
+// entry with a user page while taking its own TLB entries, so
+// ReplayTrace refuses it before any simulation runs, as trace
+// ingestion does.
+func TestReplayTraceRejectsNonUserAddresses(t *testing.T) {
+	p := xlate.DefaultParams(xlate.Cfg4KB)
+	user := xlate.Ref{VA: 0x7fff_ffff_f000, Instrs: 3}
+	for _, va := range []uint64{1 << 47, 0x1000 | 1<<52, 0xffff_8000_0000_0000, ^uint64(0)} {
+		refs := []xlate.Ref{user, {VA: addr.VA(va), Instrs: 3}, user}
+		res, err := xlate.ReplayTrace(refs, p, 1000, xlate.RunOptions{})
+		if !errors.Is(err, xlate.ErrInvalidParams) {
+			t.Errorf("ReplayTrace with a reference at %#x = %v, want ErrInvalidParams", va, err)
+		}
+		if res.MemRefs != 0 {
+			t.Errorf("ReplayTrace with a reference at %#x simulated %d references", va, res.MemRefs)
+		}
+	}
+	if _, err := xlate.ReplayTrace([]xlate.Ref{user}, p, 1000, xlate.RunOptions{}); err != nil {
+		t.Errorf("ReplayTrace of the highest user page = %v", err)
 	}
 }
 
